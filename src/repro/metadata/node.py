@@ -56,6 +56,17 @@ class TreeNode:
             if self.providers or self.write_uid is not None:
                 raise ValueError(f"internal node {self.key} cannot carry a page ref")
 
+    def __reduce__(self):
+        # Flat and positional: the generated slots state would walk
+        # dataclasses.fields() on every pickle and unpickle. Decoding goes
+        # through the constructor, so __post_init__ still validates.
+        key = self.key
+        return _make_node, (
+            key.blob_id, key.version, key.offset, key.size,
+            self.left_version, self.right_version,
+            self.providers, self.write_uid,
+        )
+
     @property
     def is_leaf(self) -> bool:
         return self.left_version is None and self.right_version is None
@@ -75,6 +86,23 @@ class TreeNode:
             NodeKey(self.key.blob_id, self.left_version, left.offset, left.size),
             NodeKey(self.key.blob_id, self.right_version, right.offset, right.size),
         )
+
+
+def _make_node(
+    blob_id: str,
+    version: int,
+    offset: int,
+    size: int,
+    left_version: int | None,
+    right_version: int | None,
+    providers: tuple[int, ...],
+    write_uid: str | None,
+) -> TreeNode:
+    """Unpickle target of :meth:`TreeNode.__reduce__`."""
+    return TreeNode(
+        NodeKey(blob_id, version, offset, size),
+        left_version, right_version, providers, write_uid,
+    )
 
 
 @estimate_size.register

@@ -12,9 +12,10 @@ Nothing about the *protocol* changes, which is the point of the sans-io
 layering:
 
 - the wire format is the untouched :mod:`repro.net.codec` pickle frames,
-  fed through the same :class:`~repro.net.codec.MessageDecoder` the
-  blocking drivers use (the async reader just exercises partial-read
-  reassembly much harder — pinned by the codec fuzz test);
+  parsed by the same :class:`~repro.net.codec.MessageDecoder` the
+  blocking drivers feed (here through its ``get_buffer``/
+  ``buffer_updated`` pair, which exercises partial-read reassembly much
+  harder — pinned by the codec fuzz test);
 - batches execute exactly the groups :func:`~repro.net.sansio.plan_wire_groups`
   plans — one frame per destination per batch — so wire-RPC counts are
   bit-equal to every other driver (pinned by the conformance suite);
@@ -24,13 +25,26 @@ layering:
   peer is down, and a connector task redials with exponential backoff so
   a restarted agent resumes service with no driver restart.
 
-Concurrency model: **everything about a peer is event-loop-confined.**
-Peer state (`_pending`, writer, down reason) is touched only from the
-loop thread, so there are no locks on the hot path; the pieces that
-cross threads — the per-batch :class:`_AioLatch` (an in-parent actor's
-service thread may complete a group) and the connected/down flags read
-by the sync facade — use a lock plus ``call_soon_threadsafe`` and
-``threading.Event`` mirrors respectively.
+Concurrency model: **everything about a peer is event-loop-confined**,
+so there are no locks on the hot path, and the loop pays as little as
+possible per frame:
+
+- *one write per peer per loop turn.* A submit encodes its frame onto
+  the peer's outbox; the first frame of a turn schedules one flush, which
+  hands every frame queued that turn to the transport in submit order as
+  a single write (one ``send`` while the socket buffer has room). A drop discards the unflushed outbox
+  together with the calls it drains, so nothing is replayed onto a
+  redialed socket.
+- *reply routing in the transport callback.* Each connection is an
+  ``asyncio.BufferedProtocol`` (dial and handshake included): the kernel
+  reads into the decoder's buffer, and ``buffer_updated`` slices each
+  whole reply out once, as ``bytes``, and completes its pending call on
+  the spot — no reader task, no chunk copies.
+- *loop-native latches.* A batch awaits a loop future that its last
+  group completion resolves directly. Only in-parent actors' service
+  threads, the one cross-thread completion source, hop onto the loop
+  with ``call_soon_threadsafe``; the connected/down state the sync
+  facade reads is mirrored in a ``threading.Event``.
 
 Two client surfaces share the driver:
 
@@ -94,7 +108,6 @@ from repro.net.wire import (
     CTL_SHUTDOWN,
     CTL_STATS,
     CTL_TELEMETRY,
-    RECV_CHUNK,
     RemoteActorDriver,
     tune_socket,
 )
@@ -177,41 +190,107 @@ async def trace_async_operation(
 
 
 class _AioLatch:
-    """Per-batch countdown releasing an asyncio event.
+    """Per-batch countdown resolving a loop future.
 
-    Group completions arrive from the loop thread (peer replies, fail-fast
-    submits) *and* from in-parent actors' service threads, so the count is
-    lock-guarded and the final decrement schedules ``event.set`` onto the
-    loop with ``call_soon_threadsafe`` (safe from both). The ``gen``
-    argument exists for handle-contract compatibility with
-    :class:`~repro.net.threaded._BatchLatch` (one latch per batch here, so
-    generations are moot).
+    Group completions mostly arrive on the loop thread (replies routed in
+    the transport callback, fail-fast submits) and count down in place;
+    the last one resolves :attr:`future` directly, with no self-pipe
+    wakeup. Only an in-parent actor's service thread hops onto the loop
+    first (``call_soon_threadsafe``), so the count is loop-confined and
+    lock-free. The ``gen`` argument exists for handle-contract
+    compatibility with :class:`~repro.net.threaded._BatchLatch` (one latch
+    per batch here, so generations are moot).
     """
 
-    __slots__ = ("_loop", "_event", "_lock", "_pending")
+    __slots__ = ("_loop", "_owner", "_pending", "future")
 
     def __init__(self, loop: asyncio.AbstractEventLoop, n_groups: int) -> None:
         self._loop = loop
-        self._event = asyncio.Event()
-        self._lock = threading.Lock()
+        self._owner = threading.get_ident()  # built on the loop thread
         self._pending = n_groups
+        #: resolved when the last group completes (the batch awaits it)
+        self.future: asyncio.Future = loop.create_future()
 
     def group_done(self, gen: int) -> None:
-        with self._lock:
-            self._pending -= 1
-            if self._pending > 0:
-                return
-        self._loop.call_soon_threadsafe(self._event.set)
+        if threading.get_ident() != self._owner:
+            self._loop.call_soon_threadsafe(self.group_done, gen)
+            return
+        self._pending -= 1
+        # a cancelled batch task cancelled the future: nobody to release
+        if not self._pending and not self.future.done():
+            self.future.set_result(None)
 
-    async def wait(self) -> None:
-        await self._event.wait()
+
+class _PeerProtocol(asyncio.BufferedProtocol):
+    """One connection of an :class:`AioPeer`, dial to hang-up.
+
+    The transport reads straight into the
+    :class:`~repro.net.codec.MessageDecoder`'s buffer, and
+    :meth:`buffer_updated` routes every whole message inside the
+    transport callback: no reader task, no intermediate chunk copies.
+    Until the peer installs this connection, the only message it can
+    carry is the handshake reply, which resolves :attr:`welcome`;
+    :attr:`closed` resolves when the connection ends. Both resolve to
+    None on an early hang-up, so no future is ever left holding an
+    unretrieved exception.
+    """
+
+    def __init__(self, peer: "AioPeer") -> None:
+        self._peer = peer
+        self._decoder = MessageDecoder()
+        self.transport: asyncio.Transport | None = None
+        self.welcome: asyncio.Future = peer._loop.create_future()
+        self.closed: asyncio.Future = peer._loop.create_future()
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport
+        sock = transport.get_extra_info("socket")
+        if sock is not None:
+            tune_socket(sock)
+        transport.write(
+            encode_message(HANDSHAKE_REQ_ID, ("hello", self._peer.actor_name))
+        )
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._decoder.get_buffer(sizehint)
+
+    def buffer_updated(self, nbytes: int) -> None:
+        peer = self._peer
+        pending = peer._pending
+        try:
+            for req_id, body in self._decoder.buffer_updated(nbytes):
+                if peer._proto is not self:
+                    if not self.welcome.done():
+                        self.welcome.set_result(body)
+                    continue
+                entry = pending.pop(req_id, None)
+                if entry is not None:
+                    peer._complete(entry, body)
+        except WireCodecError as exc:
+            if peer._proto is self:
+                peer._mark_down(
+                    f"peer {peer.actor_name}@{peer.endpoint} sent a corrupt "
+                    f"message: {exc}"
+                )
+            else:
+                self.transport.abort()
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        for fut in (self.welcome, self.closed):
+            if not fut.done():
+                fut.set_result(None)
 
 
 class AioPeer:
-    """One remote actor on the event loop: an asyncio stream when
-    connected, a fast-failing stub plus a backoff reconnector task when
-    not. All state is loop-confined except the ``threading.Event``
-    connection mirror the sync facade waits on.
+    """One remote actor on the event loop: a :class:`_PeerProtocol`
+    connection when connected, a fast-failing stub plus a backoff
+    reconnector task when not. All state is loop-confined except the
+    ``threading.Event`` connection mirror the sync facade waits on.
+
+    Outbound frames queue on a per-peer list; the first one queued in a
+    loop turn schedules :meth:`_flush`, which hands the whole list to the
+    transport in one write, so every batch that a turn's coroutines
+    submit to this peer shares one ``send``.
     """
 
     def __init__(
@@ -231,7 +310,8 @@ class AioPeer:
         self._connect_timeout = connect_timeout
         self._backoff_initial = backoff_initial
         self._backoff_max = backoff_max
-        self._writer: asyncio.StreamWriter | None = None
+        self._proto: _PeerProtocol | None = None  # the live connection
+        self._outbox: list[bytes] = []  # frames awaiting this turn's flush
         self._down_reason: str | None = (
             f"peer {self.actor_name}@{self.endpoint} never connected"
         )
@@ -265,15 +345,16 @@ class AioPeer:
     # -- connector task --------------------------------------------------
 
     async def _connect_loop(self) -> None:
-        """Dial → handshake → serve the receive loop; on death, back off
-        and redial. The connector is the only task that installs writers,
-        and ``_recv_loop`` only returns after ``_mark_down`` cleared the
-        installed one — so at most one live connection exists at a time.
+        """Dial → handshake → install the connection and wait for it to
+        end; then drain and redial, backing off while dials fail. The
+        connector is the only task that installs connections, and it
+        waits for one to close before dialing the next — so at most one
+        live connection exists at a time.
         """
         backoff = self._backoff_initial
         while not self._closed:
             try:
-                reader, writer, decoder = await self._dial()
+                proto = await self._dial()
             except (OSError, ReproError) as exc:
                 self._down_reason = (
                     f"peer {self.actor_name}@{self.endpoint} unreachable: {exc}"
@@ -282,52 +363,40 @@ class AioPeer:
                 backoff = min(backoff * 2, self._backoff_max)
                 continue
             if self._closed:
-                writer.close()
+                proto.transport.abort()
                 return
-            self._writer = writer
+            self._proto = proto
             self._down_reason = None
             self._connected_sync.set()
             backoff = self._backoff_initial
-            await self._recv_loop(reader, decoder)
+            await proto.closed
+            # no-op when a drop, corrupt message or close already drained
+            self._mark_down(
+                f"peer {self.actor_name}@{self.endpoint} connection lost"
+            )
 
-    async def _dial(
-        self,
-    ) -> tuple[asyncio.StreamReader, asyncio.StreamWriter, MessageDecoder]:
+    async def _dial(self) -> _PeerProtocol:
         """Async twin of :func:`repro.net.node.connect_and_handshake`.
 
-        Returns the stream pair *and* the handshake's decoder: replies
-        pipelined behind the welcome may already sit (whole or partial)
-        in its buffer, so the receive loop must resume it, never replace
-        it — the same invariant the agent honors on its side.
+        Dials with the connection's own :class:`_PeerProtocol`, which
+        sends the hello on connect and resolves its ``welcome`` with the
+        reply; once installed, the same protocol (and decoder) carries
+        the RPC stream.
         """
-        reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(
-                self.endpoint.host, self.endpoint.port, limit=RECV_CHUNK
+        _, proto = await asyncio.wait_for(
+            self._loop.create_connection(
+                lambda: _PeerProtocol(self), self.endpoint.host, self.endpoint.port
             ),
             self._connect_timeout,
         )
         try:
-            sock = writer.get_extra_info("socket")
-            if sock is not None:
-                tune_socket(sock)
-            writer.write(
-                encode_message(HANDSHAKE_REQ_ID, ("hello", self.actor_name))
-            )
-            await writer.drain()
-            decoder = MessageDecoder()
-            reply = None
-            while reply is None:
-                chunk = await asyncio.wait_for(
-                    reader.read(4096), self._connect_timeout
+            body = await asyncio.wait_for(proto.welcome, self._connect_timeout)
+            if body is None:
+                raise HandshakeError(
+                    f"agent at {self.endpoint} closed the connection "
+                    "mid-handshake"
                 )
-                if not chunk:
-                    raise HandshakeError(
-                        f"agent at {self.endpoint} closed the connection "
-                        "mid-handshake"
-                    )
-                for _req_id, body in decoder.feed(chunk):
-                    reply = decode_body(body)
-                    break
+            reply = decode_body(body)
             if (
                 not isinstance(reply, tuple)
                 or len(reply) != 2
@@ -341,36 +410,10 @@ class AioPeer:
                     f"agent at {self.endpoint} rejected "
                     f"{self.actor_name!r}: {reply[1]}"
                 )
-            return reader, writer, decoder
+            return proto
         except BaseException:
-            writer.close()
+            proto.transport.abort()
             raise
-
-    async def _recv_loop(
-        self, reader: asyncio.StreamReader, decoder: MessageDecoder
-    ) -> None:
-        """Route raw reply bodies by header; on EOF/corruption, drain."""
-        while True:
-            try:
-                chunk = await reader.read(RECV_CHUNK)
-            except OSError:
-                chunk = b""
-            if not chunk:
-                self._mark_down(
-                    f"peer {self.actor_name}@{self.endpoint} connection lost"
-                )
-                return
-            try:
-                for req_id, body in decoder.feed(chunk):
-                    entry = self._pending.pop(req_id, None)
-                    if entry is not None:
-                        self._complete(entry, body)
-            except WireCodecError as exc:
-                self._mark_down(
-                    f"peer {self.actor_name}@{self.endpoint} sent a corrupt "
-                    f"message: {exc}"
-                )
-                return
 
     @staticmethod
     def _complete(entry: tuple, body: Any) -> None:
@@ -390,21 +433,44 @@ class AioPeer:
         ``_down_reason`` is None exactly while a connection is installed,
         so of the racing death signals (EOF, send failure, drop, close)
         only the first drains — no batch latch is ever released twice.
+        Unflushed frames are discarded with the connection: their calls
+        are among those drained here, so they must never reach the wire
+        (least of all a reconnected socket).
         """
         if self._down_reason is not None:
             return
         self._down_reason = reason
         self._connected_sync.clear()
-        writer, self._writer = self._writer, None
+        proto, self._proto = self._proto, None
+        self._outbox = []
         drained = list(self._pending.values())
         self._pending.clear()
         error = RemoteError("PeerUnavailable", reason)
         for entry in drained:
             self._complete(entry, error)
-        if writer is not None:
-            writer.close()
+        if proto is not None:
+            proto.transport.abort()
 
     # -- RPC surface (the remote-handle contract, loop thread only) ------
+
+    def _send(self, frame: bytes) -> None:
+        if not self._outbox:
+            self._loop.call_soon(self._flush)
+        self._outbox.append(frame)
+
+    def _flush(self) -> None:
+        """Write every frame queued this turn, in submit order, in one
+        transport write (nothing when ``_mark_down`` discarded them)."""
+        out = self._outbox
+        if not out:
+            return
+        self._outbox = []
+        try:
+            self._proto.transport.write(out[0] if len(out) == 1 else b"".join(out))
+        except Exception as exc:  # transport already torn down under us
+            self._mark_down(
+                f"send to peer {self.actor_name}@{self.endpoint} failed: {exc!r}"
+            )
 
     def submit(
         self,
@@ -414,16 +480,14 @@ class AioPeer:
         gen: int,
         trace: Any = None,
     ) -> None:
-        """Send one wire group; the receive loop completes the latch.
+        """Queue one wire group; the receive callback completes the latch.
 
-        Never blocks and never awaits: frames enter the transport's write
-        buffer directly (the asyncio analogue of the blocking channels'
-        outbox queue — a submit is never stuck on a busy peer's socket
-        backpressure). Fails fast with a typed error while the peer is
-        down.
+        Never blocks and never awaits: the frame joins this turn's flush
+        (the asyncio analogue of the blocking channels' outbox queue — a
+        submit is never stuck on a busy peer's socket backpressure).
+        Fails fast with a typed error while the peer is down.
         """
-        writer = self._writer
-        if writer is None:
+        if self._proto is None:
             slot[0] = RemoteError("PeerUnavailable", self._down_reason)
             latch.group_done(gen)
             return
@@ -438,24 +502,16 @@ class AioPeer:
             latch.group_done(gen)
             return
         self._pending[req_id] = ("rpc", slot, latch, gen)
-        try:
-            writer.write(frame)
-        except Exception as exc:  # transport already torn down under us
-            if self._pending.pop(req_id, None) is not None:
-                self._mark_down(
-                    f"send to peer {self.actor_name}@{self.endpoint} "
-                    f"failed: {exc!r}"
-                )
+        self._send(frame)
 
     async def control(self, kind: str, timeout: float = 10.0) -> Any:
         """Round-trip one control message; raises on a down connection."""
-        writer = self._writer
-        if writer is None:
+        if self._proto is None:
             raise RemoteError("PeerUnavailable", self._down_reason)
         req_id = next(self._req_ids)
         fut: asyncio.Future = self._loop.create_future()
         self._pending[req_id] = ("ctl", fut)
-        writer.write(encode_message(req_id, (kind, ())))
+        self._send(encode_message(req_id, (kind, ())))
         try:
             body = await asyncio.wait_for(fut, timeout)
         except (asyncio.TimeoutError, TimeoutError):
@@ -490,7 +546,7 @@ class AioPeer:
         if self._closed:
             return
         self._closed = True
-        if send_shutdown and self._writer is not None:
+        if send_shutdown and self._proto is not None:
             try:
                 await self.control(CTL_SHUTDOWN, timeout=timeout)
             except (RemoteError, TimeoutError):
@@ -877,7 +933,7 @@ class AioDriver:
                     (group.calls, group.indices, results, latch, 0,
                      wire_trace, t_enq)
                 )
-        await latch.wait()
+        await latch.future
         self._wakeups += 1
         t_done = time.perf_counter_ns()
         rtt_ns = t_done - t_enq

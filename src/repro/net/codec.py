@@ -27,8 +27,11 @@ What pickling means for the system's types:
   always, and the wrapped original exception only when it is itself
   picklable (semantic errors like ``VersionNotPublished`` define
   ``__reduce__`` so they survive typed).
+- :class:`~repro.metadata.node.TreeNode` defines a flat positional
+  ``__reduce__`` (the hottest metadata reply type) and is rebuilt through
+  its constructor, so a decoded node is validated like a built one.
 - Everything else on the RPC surface — ``PageKey``/``NodeKey`` named
-  tuples, frozen ``TreeNode``/``WriteTicket`` dataclasses, ints, strings,
+  tuples, the frozen ``WriteTicket`` dataclass, ints, strings,
   containers — pickles natively.
 
 ``encode_frame`` refuses silently-wrong output: if the object graph cannot
@@ -129,38 +132,109 @@ def decode_body(body: bytes | bytearray | memoryview) -> Any:
     return _decode_body(body)
 
 
+#: the receive buffer of a decoder that has received nothing yet
+_NO_BUFFER = memoryview(b"")
+
+#: socket receive chunk: large enough to drain several page-sized messages
+#: per syscall when replies queue up. It is also the receive buffer a
+#: transport reads into (``get_buffer(-1)``); a message larger than this
+#: grows the buffer to fit it, and the buffer shrinks back once that
+#: message is consumed.
+RECV_CHUNK = 1 << 20
+
+
 class MessageDecoder:
     """Incremental decoder for a stream of RPC messages.
 
     Yields ``(req_id, body)`` pairs with the body still *encoded* (bytes):
     routing happens on the 12-byte header alone, and the consumer decides
     where (on which thread) to pay the unpickling.
+
+    Two ways in, one parser. Blocking receivers :meth:`feed` the chunks
+    they ``recv``; an ``asyncio.BufferedProtocol`` hands the transport
+    :meth:`get_buffer` to ``recv_into`` and reports the fill with
+    :meth:`buffer_updated`. Either way the bytes land in one receive
+    buffer and every body is sliced out of it exactly once, as ``bytes``.
+    The buffer is never resized in place (a transport may still hold a
+    view of it), only rewound, compacted or swapped for a larger one.
     """
 
     def __init__(self) -> None:
-        self._buf = bytearray()
+        self._view = _NO_BUFFER  # the receive buffer (a bytearray's view)
+        self._start = 0  # first unparsed byte
+        self._end = 0  # one past the last received byte
+        #: bytes from ``_start`` the message being assembled needs
+        self._want = MESSAGE_HEADER_BYTES
+
+    def get_buffer(self, sizehint: int = -1) -> memoryview:
+        """Writable free tail of the receive buffer.
+
+        Holds at least ``sizehint`` bytes when that is positive, and the
+        rest of the message being assembled; ``-1`` (a transport asking)
+        gets :data:`RECV_CHUNK` of room to read into.
+        """
+        start, end = self._start, self._end
+        pending = end - start
+        need = self._want
+        if need < pending + sizehint:
+            need = pending + sizehint
+        elif need <= pending:  # messages left unconsumed: room for one byte
+            need = pending + 1
+        if sizehint < 0 and need < RECV_CHUNK:
+            need = RECV_CHUNK
+        cap = len(self._view)
+        if need > cap or cap > RECV_CHUNK >= need:
+            # grow to fit the message, or shrink back after an oversized one
+            view = memoryview(bytearray(need))
+            if pending:
+                view[:pending] = self._view[start:end]
+            self._view = view
+            self._start, self._end = 0, pending
+        elif start and (not pending or start + need > cap):
+            # rewind (nothing pending) or move the partial message to the front
+            if pending:  # memoryview assignment copies overlaps safely
+                self._view[:pending] = self._view[start:end]
+            self._start, self._end = 0, pending
+        return self._view[self._end :]
+
+    def buffer_updated(self, nbytes: int) -> Iterator[tuple[int, bytes]]:
+        """Account ``nbytes`` written into :meth:`get_buffer`'s view and
+        iterate the messages completed so far. Messages are consumed as
+        they are yielded: one left unconsumed (the caller broke out of
+        the loop) stays buffered, and the next call's iterator — which
+        replaces this one — yields it."""
+        self._end += nbytes
+        return self._messages()
 
     def feed(self, data: bytes | bytearray | memoryview) -> Iterator[tuple[int, bytes]]:
-        self._buf += data
-        while True:
-            if len(self._buf) < MESSAGE_HEADER_BYTES:
-                return
-            length, req_id = _MSG.unpack_from(self._buf)
+        """Append one received chunk; iterate the completed messages."""
+        n = len(data)
+        if n:
+            self.get_buffer(n)[:n] = data
+        return self.buffer_updated(n)
+
+    def _messages(self) -> Iterator[tuple[int, bytes]]:
+        view, start, stop = self._view, self._start, self._end
+        while stop - start >= MESSAGE_HEADER_BYTES:
+            length, req_id = _MSG.unpack_from(view, start)
             if length < _REQ_ID_BYTES or length - _REQ_ID_BYTES > MAX_FRAME_BYTES:
                 raise WireCodecError(
                     f"message of {length} B outside sane bounds "
                     "(corrupt length prefix?)"
                 )
-            end = MESSAGE_HEADER_BYTES + length - _REQ_ID_BYTES
-            if len(self._buf) < end:
+            end = start + MESSAGE_HEADER_BYTES - _REQ_ID_BYTES + length
+            if end > stop:
+                self._want = end - start
                 return
-            body = bytes(memoryview(self._buf)[MESSAGE_HEADER_BYTES:end])
-            del self._buf[:end]
-            yield req_id, body
+            self._start = end
+            yield req_id, bytes(view[start + MESSAGE_HEADER_BYTES : end])
+            start = end
+        self._want = MESSAGE_HEADER_BYTES
 
     @property
     def pending_bytes(self) -> int:
-        return len(self._buf)
+        """Bytes buffered toward an incomplete message."""
+        return self._end - self._start
 
 
 class FrameDecoder:

@@ -51,6 +51,7 @@ from typing import Any, Callable, Mapping
 
 from repro.errors import RemoteError
 from repro.net.codec import (
+    RECV_CHUNK,
     MessageDecoder,
     WireCodecError,
     decode_body,
@@ -69,10 +70,6 @@ from repro.net.sansio import (
 from repro.net.threaded import ThreadedDriver, _BatchLatch, dest_kind
 from repro.obs.spans import new_span_id, record_group_spans
 from repro.obs.trace import current_op_span, current_trace
-
-#: socket receive chunk: large enough to drain several page-sized messages
-#: per syscall when replies queue up
-RECV_CHUNK = 1 << 20
 
 #: requested SO_SNDBUF/SO_RCVBUF: lets a full page batch leave the caller
 #: in one non-blocking sendall even while the peer is mid-computation

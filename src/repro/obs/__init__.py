@@ -43,8 +43,12 @@ on the documented ``repro.*`` hierarchy (``repro.vm``, ``repro.pm``,
 ``repro.journal``, ``repro.obs``) for programmatic embedders — the node
 CLI calls it, a library user may too.
 
-Overhead: two ``perf_counter_ns`` reads plus one histogram increment per
-sub-call (~1 µs); set ``REPRO_OBS=0`` to disable recording entirely.
+Overhead: two ``perf_counter_ns`` reads, one histogram increment and a
+slow-ring check per sub-call — about 1.3 µs per served sub-call. Measured
+by timing ``dispatch_call`` in processes started with ``REPRO_OBS=1`` and
+``REPRO_OBS=0`` (2-core Xeon VM, CPython 3.11, best of 6 interleaved
+process pairs): 1.7 vs 0.4 µs for a no-op handler, 2.0 vs 0.7 µs for a
+4 KB ``data.get_page``. Set ``REPRO_OBS=0`` to disable recording entirely.
 """
 
 from repro.obs.export import (

@@ -11,7 +11,9 @@ asyncio driver instead of per-peer thread pairs. On top of that, the
 event loop adds what threads cannot afford: the 1k-coroutine stress run
 — one agent SIGKILLed and restarted mid-run, every client finishing or
 failing *typed*, with asyncio debug mode and warning capture proving no
-task is orphaned and no coroutine left unawaited.
+task is orphaned and no coroutine left unawaited — and the pins of the
+loop's own I/O: one socket write per peer per loop turn, and a drop that
+takes the frames queued for that write down with it.
 
 Everything here is wall-clock bounded: every blocking wait carries a
 timeout, and the module-level watchdog (conftest.py, enabled via
@@ -120,6 +122,49 @@ def test_async_clients_interleave_on_one_loop(adep):
     results = adep.driver.run_async(main(), timeout=JOIN_TIMEOUT)
     assert sorted(results) == list(range(n_clients))
     assert adep.vm.get_latest(blob) == n_clients * writes_each
+
+
+def test_batches_of_one_loop_turn_leave_in_one_write():
+    """Every batch the loop's coroutines submit to one peer within one
+    turn is coalesced into a single transport write, yet the agent still
+    serves one wire RPC per batch (coalescing never merges frames)."""
+    agent = NodeAgent({("data", 0): DataProvider(0)})
+    agent.start()
+    driver = AioDriver()
+    address, n = ("data", 0), 16
+    try:
+        driver.register_remote(address, agent.endpoint)
+        driver.wait_connected()
+        peer = driver.peer(address)
+        before = driver.server_stats()[address]
+        writes: list[int] = []
+
+        async def main():
+            transport = peer._proto.transport
+            real_write = transport.write
+
+            def counting_write(data):
+                writes.append(len(data))
+                real_write(data)
+
+            transport.write = counting_write
+            try:
+                # gather starts every protocol in the same loop turn
+                return await asyncio.gather(*(
+                    driver.drive(_call_proto(address, "data.stats"))
+                    for _ in range(n)
+                ))
+            finally:
+                del transport.write
+
+        results = driver.run_async(main(), timeout=JOIN_TIMEOUT)
+        assert [r["pages"] for r in results] == [0] * n
+        assert len(writes) == 1, f"{n} batches took {len(writes)} writes"
+        after = driver.server_stats()[address]
+        assert (after[0] - before[0], after[1] - before[1]) == (n, n)
+    finally:
+        driver.close()
+        agent.close()
 
 
 def test_unknown_address_raises_before_any_submission(adep):
@@ -328,6 +373,61 @@ def test_in_flight_calls_drain_when_connection_dies():
             fut.result(timeout=JOIN_TIMEOUT)
     finally:
         staller.release.set()
+        driver.close()
+        agent.close()
+
+
+def test_drop_discards_frames_queued_for_the_flush():
+    """A connection dropped while frames wait for this turn's flush takes
+    them down with it: every queued call completes as
+    ``RemoteError("PeerUnavailable")``, and the redialed agent never
+    serves any of them — they are not replayed onto the new socket."""
+    agent = NodeAgent({("data", 0): DataProvider(0)})
+    agent.start()
+    driver = AioDriver()
+    address, n = ("data", 0), 8
+    try:
+        driver.register_remote(address, agent.endpoint)
+        driver.wait_connected()
+        peer = driver.peer(address)
+        before = driver.server_stats()[address]
+        queued_at_drop: list[int] = []
+        real_mark_down = peer._mark_down
+
+        def spying_mark_down(reason):
+            queued_at_drop.append(len(peer._outbox))
+            real_mark_down(reason)
+
+        async def main():
+            tasks = [
+                asyncio.ensure_future(
+                    driver.drive(_call_proto(address, "data.stats"))
+                )
+                for _ in range(n)
+            ]
+            # the drain lands in the next turn right behind the tasks'
+            # submits, ahead of the flush their first submit schedules
+            peer._mark_down = spying_mark_down
+            peer.drop()
+            try:
+                return await asyncio.wait_for(
+                    asyncio.gather(*tasks, return_exceptions=True), JOIN_TIMEOUT
+                )
+            finally:
+                del peer._mark_down
+
+        results = driver.run_async(main(), timeout=JOIN_TIMEOUT)
+        assert queued_at_drop[:1] == [n], "frames were not queued at the drop"
+        assert all(isinstance(r, RemoteError) for r in results), results
+        assert all("PeerUnavailable" in str(r) for r in results)
+
+        assert peer.wait_connected(timeout=15), "connector did not redial"
+        assert driver.call(address, "data.stats")["pages"] == 0
+        # same connection, served in order: a replayed frame would have
+        # been served ahead of this call
+        after = driver.server_stats()[address]
+        assert (after[0] - before[0], after[1] - before[1]) == (1, 1)
+    finally:
         driver.close()
         agent.close()
 

@@ -25,6 +25,7 @@ from repro.metadata.node import NodeKey, TreeNode
 from repro.net.codec import (
     LENGTH_PREFIX_BYTES,
     FrameDecoder,
+    RECV_CHUNK,
     MessageDecoder,
     WireCodecError,
     decode_body,
@@ -350,13 +351,51 @@ def _fuzz_payloads(rng):
     return payloads
 
 
+def _via_feed(decoder, stream, steps):
+    """Every (req_id, body) ``feed`` yields for ``stream`` cut into ``steps``."""
+    out, pos = [], 0
+    for step in steps:
+        out.extend(decoder.feed(stream[pos : pos + step]))
+        pos += step
+    return out
+
+
+def _via_buffer(decoder, stream, steps, sizehint=-1):
+    """The same stream through the ``get_buffer``/``buffer_updated`` pair
+    a ``BufferedProtocol`` transport drives: each read fills at most one
+    step's worth of the offered buffer (a transport's ``recv_into``)."""
+    out, pos = [], 0
+    for step in steps:
+        end = pos + step
+        while pos < end:
+            buf = decoder.get_buffer(sizehint)
+            assert len(buf) > 0
+            n = min(len(buf), end - pos)
+            buf[:n] = stream[pos : pos + n]
+            pos += n
+            out.extend(decoder.buffer_updated(n))
+    return out
+
+
+def _fuzz_steps(rng, total, dribble=False):
+    steps, pos = [], 0
+    while pos < total:
+        # bias toward tiny slices so header splits stay common
+        step = 1 if dribble else rng.choice((1, 2, 3, 5, 11, rng.randrange(1, 96)))
+        steps.append(min(step, total - pos))
+        pos += step
+    return steps
+
+
 @pytest.mark.parametrize("seed", [0, 1, 0xC0DEC])
 def test_message_decoder_fuzzed_chunk_boundaries_reassemble(seed):
     """Feed one encoded stream through the decoder in randomized 1..N-byte
     slices (seeded): every slicing must yield exactly the original
-    (req_id, body) sequence, bit-identical bodies, regardless of where
-    the cuts land — start of stream, inside the 12-byte header, inside a
-    body, or across several whole messages at once."""
+    (req_id, body) sequence, bit-identical ``bytes`` bodies, regardless
+    of where the cuts land — start of stream, inside the 12-byte header,
+    inside a body, or across several whole messages at once. The buffer
+    interface, read into at the same cuts (with a transport's and with
+    a small size hint), must yield exactly what ``feed`` yields."""
     import random as random_mod
 
     rng = random_mod.Random(seed)
@@ -364,23 +403,17 @@ def test_message_decoder_fuzzed_chunk_boundaries_reassemble(seed):
     stream = b"".join(encode_message(rid, body) for rid, body in payloads.items())
 
     for trial in range(25):
+        steps = _fuzz_steps(rng, len(stream), dribble=trial == 0)
         decoder = MessageDecoder()
-        seen = []
-        pos = 0
-        while pos < len(stream):
-            if trial == 0:
-                step = 1  # pure byte-dribble: every boundary exercised
-            else:
-                # bias toward tiny slices so header splits stay common
-                step = rng.choice((1, 2, 3, 5, 11, rng.randrange(1, 96)))
-            chunk = stream[pos : pos + step]
-            pos += len(chunk)
-            for req_id, body in decoder.feed(chunk):
-                assert isinstance(body, (bytes, bytearray, memoryview))
-                seen.append((req_id, bytes(body)))
+        seen = _via_feed(decoder, stream, steps)
         assert decoder.pending_bytes == 0
+        for sizehint in (-1, rng.randrange(1, 64)):
+            buffered = MessageDecoder()
+            assert _via_buffer(buffered, stream, steps, sizehint) == seen
+            assert buffered.pending_bytes == 0
         assert [rid for rid, _ in seen] == list(payloads)
         for req_id, raw in seen:
+            assert type(raw) is bytes
             rebuilt = decode_body(raw)
             reference = decode_body(
                 encode_message(req_id, payloads[req_id])[12:]
@@ -389,11 +422,44 @@ def test_message_decoder_fuzzed_chunk_boundaries_reassemble(seed):
             assert repr(rebuilt) == repr(reference)
 
 
+@pytest.mark.parametrize("seed", [3, 0xB16])
+def test_message_decoder_body_larger_than_receive_buffer(seed):
+    """A message bigger than the transport-sized receive buffer grows the
+    buffer to fit it: once its header is in, one offered buffer holds
+    the rest of the message, and its body still comes out as one
+    ``bytes`` — through the buffer interface exactly as through ``feed``,
+    with small messages on both sides of it."""
+    import random as random_mod
+
+    rng = random_mod.Random(seed)
+    big = rng.randbytes(RECV_CHUNK + rng.randrange(1, 300_000))
+    payloads = {1: ("stats", ()), 2: [PagePayload.real(big)], 3: ("rpc", [])}
+    stream = b"".join(encode_message(rid, body) for rid, body in payloads.items())
+    steps = []
+    while sum(steps) < len(stream):
+        steps.append(min(rng.randrange(1, 300_000), len(stream) - sum(steps)))
+    seen = _via_feed(MessageDecoder(), stream, steps)
+    assert [rid for rid, _ in seen] == [1, 2, 3]
+    assert decode_body(seen[1][1])[0].as_bytes() == big
+
+    decoder = MessageDecoder()
+    assert _via_buffer(decoder, stream, steps) == seen
+    decoder = MessageDecoder()
+    head = len(encode_message(1, payloads[1])) + 12  # through 2's header
+    list(decoder.feed(stream[:head]))
+    assert len(decoder.get_buffer(-1)) >= len(encode_message(2, payloads[2])) - 12
+    list(decoder.feed(stream[head:]))
+    assert decoder.pending_bytes == 0
+    assert len(decoder.get_buffer(-1)) == RECV_CHUNK  # shrunk back
+
+
 @pytest.mark.parametrize("seed", [2, 0xBAD])
 def test_message_decoder_fuzzed_corruption_rejected_typed(seed):
     """Flip the length prefix of a random message to an absurd value (or
     truncate the stream inside a header) and the decoder must raise
-    WireCodecError — never a struct error, never a silent resync."""
+    WireCodecError — never a struct error, never a silent resync — from
+    ``feed`` and from the buffer interface alike, having delivered
+    exactly the messages before the poisoned header."""
     import random as random_mod
 
     rng = random_mod.Random(seed)
@@ -403,25 +469,27 @@ def test_message_decoder_fuzzed_corruption_rejected_typed(seed):
     corrupt = bytearray(b"".join(frames))
     offset = sum(len(f) for f in frames[:victim])
     corrupt[offset : offset + 4] = b"\xff\xff\xff\xff"  # > MAX_FRAME_BYTES
+    corrupt = bytes(corrupt)
 
-    decoder = MessageDecoder()
-    with pytest.raises(WireCodecError):
-        pos, step_rng = 0, random_mod.Random(seed ^ 1)
-        while pos < len(corrupt):
-            step = step_rng.randrange(1, 32)
-            list(decoder.feed(bytes(corrupt[pos : pos + step])))
-            pos += step
+    step_rng = random_mod.Random(seed ^ 1)
+    steps = _fuzz_steps(step_rng, len(corrupt))
+    for drive in (_via_feed, _via_buffer):
+        with pytest.raises(WireCodecError):
+            drive(MessageDecoder(), corrupt, steps)
 
     # messages *before* the corruption must still have been delivered
     # (the decoder fails exactly at the poisoned header, not earlier)
-    good_decoder = MessageDecoder()
-    delivered = []
-    try:
-        pos = 0
-        while pos < len(corrupt):
-            for rid, _ in good_decoder.feed(bytes(corrupt[pos : pos + 7])):
-                delivered.append(rid)
-            pos += 7
-    except WireCodecError:
-        pass
-    assert delivered == list(payloads)[:victim]
+    for drive in (_via_feed, _via_buffer):
+        delivered = []
+        decoder = MessageDecoder()
+        try:
+            pos = 0
+            while pos < len(corrupt):
+                chunk = corrupt[pos : pos + 7]
+                delivered.extend(
+                    rid for rid, _ in drive(decoder, chunk, [len(chunk)])
+                )
+                pos += len(chunk)
+        except WireCodecError:
+            pass
+        assert delivered == list(payloads)[:victim]

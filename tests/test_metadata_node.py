@@ -1,5 +1,7 @@
 """Tree-node records."""
 
+import pickle
+
 import pytest
 
 from repro.metadata.node import NodeKey, TreeNode
@@ -80,3 +82,24 @@ class TestTreeNode:
             key=NodeKey("b", 1, 0, 4096), providers=(1, 2, 3), write_uid="w"
         )
         assert node.providers == (1, 2, 3)
+
+    @pytest.mark.parametrize("make", [leaf, internal], ids=["leaf", "internal"])
+    def test_pickle_roundtrip(self, make):
+        node = make(version=7)
+        back = pickle.loads(pickle.dumps(node, protocol=5))
+        assert back == node
+        assert type(back.key) is NodeKey
+        assert back.is_leaf == node.is_leaf
+
+    def test_invalid_node_raises_on_decode(self):
+        # build a leaf without a page reference behind the constructor's
+        # back: decoding must re-run the validation and refuse it
+        forged = object.__new__(TreeNode)
+        for name, value in [
+            ("key", NodeKey("b", 1, 0, 4096)), ("left_version", None),
+            ("right_version", None), ("providers", ()), ("write_uid", None),
+        ]:
+            object.__setattr__(forged, name, value)
+        blob = pickle.dumps(forged)
+        with pytest.raises(ValueError, match="page reference"):
+            pickle.loads(blob)
