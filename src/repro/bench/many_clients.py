@@ -110,7 +110,7 @@ def many_clients_quantiles(
 ) -> FigureData:
     """Read/Write latency quantiles vs concurrent asyncio clients.
 
-    One loopback TCP cluster (``build_tcp(client="aio")``) is built and
+    One loopback TCP cluster (:func:`~repro.deploy.tcp.build_tcp`) is built and
     reused across all tiers; each tier launches ``client_counts[i]``
     coroutine clients that all start together behind a gate, perform one
     page write plus ``reads_per_client`` reads of their own page, and
@@ -135,7 +135,7 @@ def many_clients_quantiles(
     quantiles = {
         f"{kind} {q}": [] for kind in ("Read", "Write") for q in ("p50", "p95", "p99")
     }
-    with build_tcp(spec, client="aio") as dep:
+    with build_tcp(spec) as dep:
         setup = dep.client("mc-setup")
         # one private page per client at the widest tier, rounded up to the
         # power-of-two total the tree geometry requires

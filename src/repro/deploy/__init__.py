@@ -1,6 +1,6 @@
 """Deployment builders: wire actors, drivers and clients together.
 
-Five deployments mirror the five drivers:
+Five deployments mirror the drivers:
 
 - :func:`~repro.deploy.inproc.build_inproc` — everything in one thread;
   the functional substrate for tests, examples and the sky pipeline.
@@ -12,11 +12,11 @@ Five deployments mirror the five drivers:
   real-parallelism deployment whose throughput numbers are meaningful.
 - :func:`~repro.deploy.tcp.build_tcp` — provider actors behind node
   agents reached over real TCP connections: the cluster deployment,
-  launched as loopback OS processes (CI) or dialed on real hosts.
-  ``build_tcp(spec, client="aio")`` keeps the same cluster but swaps the
-  client tier for :class:`~repro.net.aio.AioDriver` — one asyncio event
-  loop multiplexing every peer socket, awaitable clients via
-  ``dep.async_client()`` — for thousands of concurrent client programs.
+  launched as loopback OS processes (CI) or dialed on real hosts. The
+  client tier is :class:`~repro.net.aio.AioDriver` — one asyncio event
+  loop multiplexing every peer socket — with blocking clients via
+  ``dep.client()`` and awaitable ones via ``dep.async_client()``, for
+  thousands of concurrent client programs.
 - :class:`~repro.deploy.simulated.SimDeployment` — actors on simulated
   cluster nodes with calibrated costs; the benchmark substrate.
 """

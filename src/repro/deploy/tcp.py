@@ -55,13 +55,12 @@ from repro.errors import ConfigError
 from repro.metadata.router import StaticRouter
 from repro.net.address import CONTROL_ACTORS, ClusterMap, Endpoint, format_actor
 from repro.net.aio import AioDriver
-from repro.net.tcp import TcpDriver
 from repro.providers.manager import ProviderManager
 from repro.providers.strategies import make_strategy
 from repro.version.manager import VersionManager
 
 # the TCP deployment reuses the process deployment's proxy classes: they
-# only need RemoteActorDriver.call, which both drivers inherit
+# only need a driver's one-off ``call``, which AioDriver provides
 from repro.deploy.process import DataProviderProxy, MetadataProviderProxy
 
 #: how long the builder waits for a launched agent's READY line
@@ -79,7 +78,7 @@ class VersionManagerProxy:
     driver like any other actor.
     """
 
-    def __init__(self, driver: TcpDriver) -> None:
+    def __init__(self, driver: AioDriver) -> None:
         self._driver = driver
 
     def get_latest(self, blob_id: str) -> int:
@@ -98,7 +97,7 @@ class VersionManagerProxy:
 class ProviderManagerProxy:
     """Parent-side view of a provider manager on its own node agent."""
 
-    def __init__(self, driver: TcpDriver) -> None:
+    def __init__(self, driver: AioDriver) -> None:
         self._driver = driver
 
     def providers(self) -> list[int]:
@@ -245,9 +244,8 @@ class _AgentProcess:
 @dataclass
 class TcpDeployment:
     spec: DeploymentSpec
-    #: TcpDriver (one thread pair per peer) or AioDriver (one event loop
-    #: multiplexing every peer) — same registration and execution surface
-    driver: Union[TcpDriver, AioDriver]
+    #: one event loop multiplexing every peer socket
+    driver: AioDriver
     router: StaticRouter
     #: live objects when the control plane is in-parent, proxies when it
     #: runs on its own agents (same inspection surface either way)
@@ -299,15 +297,10 @@ class TcpDeployment:
         return c
 
     def async_client(self, name: str | None = None) -> AsyncBlobClient:
-        """A coroutine-facade client (``build_tcp(..., client="aio")``
-        deployments only): awaitable read/write/read_into sharing the
-        deployment's event-loop driver. Any number of these can run
-        concurrently as coroutines — the high-concurrency client tier."""
-        if not hasattr(self.driver, "drive"):
-            raise ConfigError(
-                "async_client() needs the aio driver; build the deployment "
-                "with build_tcp(..., client='aio')"
-            )
+        """A coroutine-facade client: awaitable read/write/read_into
+        sharing the deployment's event-loop driver. Any number of these
+        can run concurrently as coroutines — the high-concurrency client
+        tier."""
         return AsyncBlobClient(
             self.driver,
             self.router,
@@ -534,7 +527,7 @@ def plan_loopback_nodes(spec: DeploymentSpec) -> list[list[str]]:
 
 
 def _await_pm_registration(
-    driver: TcpDriver, spec: DeploymentSpec, deadline: float
+    driver: AioDriver, spec: DeploymentSpec, deadline: float
 ) -> None:
     """Block until the remote pm has learned every data provider.
 
@@ -568,7 +561,7 @@ def build_tcp(
     connect_timeout: float = 5.0,
     control_plane: str | None = None,
     state_dir: str | os.PathLike | None = None,
-    client: str = "threaded",
+    client: str = "aio",
 ) -> TcpDeployment:
     """Assemble a TCP cluster deployment (context-manage it to stop it).
 
@@ -591,14 +584,12 @@ def build_tcp(
     history. In connected mode the operator owns the agents' state dirs,
     so passing one here is a :class:`~repro.errors.ConfigError`.
 
-    ``client`` picks the caller-side transport: ``"threaded"`` (default)
-    is the :class:`~repro.net.tcp.TcpDriver` with one sender/receiver
-    thread pair per peer; ``"aio"`` is the
-    :class:`~repro.net.aio.AioDriver`, one event loop multiplexing every
-    peer socket, which additionally enables
-    :meth:`TcpDeployment.async_client` for thousands of concurrent
-    client coroutines. The wire traffic is identical either way (the
-    conformance suite certifies both against the same fingerprints).
+    The caller side is always the :class:`~repro.net.aio.AioDriver`:
+    one event loop multiplexing every peer socket, serving blocking
+    clients (:meth:`TcpDeployment.client`) and thousands of concurrent
+    coroutine clients (:meth:`TcpDeployment.async_client`) alike.
+    ``client`` accepts only ``"aio"``; it remains for callers that name
+    the transport explicitly.
     """
     spec = spec or DeploymentSpec()
     endpoints = endpoints if endpoints is not None else (spec.endpoints or None)
@@ -611,10 +602,8 @@ def build_tcp(
             "state_dir applies to launched clusters; operator-run agents "
             "(endpoints=...) configure --state-dir on their own command lines"
         )
-    if client not in ("threaded", "aio"):
-        raise ConfigError(
-            f"client must be 'threaded' or 'aio', got {client!r}"
-        )
+    if client != "aio":
+        raise ConfigError(f"client must be 'aio', got {client!r}")
 
     agents: list[_AgentProcess] = []
     try:
@@ -685,11 +674,7 @@ def build_tcp(
             if ("meta", i) not in cluster_map:
                 raise ConfigError(f"no endpoint for actor 'meta/{i}'")
 
-        driver: Union[TcpDriver, AioDriver]
-        if client == "aio":
-            driver = AioDriver(connect_timeout=connect_timeout)
-        else:
-            driver = TcpDriver(connect_timeout=connect_timeout)
+        driver = AioDriver(connect_timeout=connect_timeout)
         try:
             if remote_cp:
                 driver.register_remote("vm", cluster_map.endpoint_for("vm"))

@@ -3,7 +3,7 @@
 The blob protocols (READ, WRITE, ALLOC, GC) are written **once** as plain
 generators that yield :class:`~repro.net.sansio.Batch` /
 :class:`~repro.net.sansio.Compute` operations and receive results — no I/O,
-no threads, no clocks inside the protocol logic (the "sans-io" style). Three
+no threads, no clocks inside the protocol logic (the "sans-io" style). These
 drivers execute them:
 
 - :class:`~repro.net.inproc.InprocDriver` — direct dispatch, for functional
@@ -13,12 +13,12 @@ drivers execute them:
 - :class:`~repro.net.process.ProcessDriver` — one OS process per provider
   actor, length-prefixed pickle frames (:mod:`repro.net.codec`) over
   pipes: real parallelism, no shared GIL, meaningful throughput;
-- :class:`~repro.net.tcp.TcpDriver` — actors behind ``host:port`` node
+- :class:`~repro.net.aio.AioDriver` — actors behind ``host:port`` node
   agents (:mod:`repro.net.node`), same frames over real TCP connections
-  with reconnect-safe fail-over: the multi-host cluster deployment;
-- :class:`~repro.net.aio.AioDriver` — the same TCP agents driven from a
-  single asyncio event loop multiplexing every peer socket: thousands of
-  concurrent client coroutines instead of one thread per client;
+  with reconnect-safe fail-over, driven from a single asyncio event loop
+  multiplexing every peer socket: the multi-host cluster deployment,
+  with thousands of concurrent client coroutines instead of one thread
+  per client;
 - :class:`~repro.net.simdriver.SimRpcExecutor` — runs protocols as processes
   on the discrete-event cluster with full cost accounting, used by every
   benchmark.
@@ -34,7 +34,6 @@ from repro.net.inproc import InprocDriver
 from repro.net.threaded import ThreadedDriver
 from repro.net.process import ProcessDriver
 from repro.net.node import NodeAgent
-from repro.net.tcp import TcpDriver
 from repro.net.aio import AioDriver
 from repro.net.simdriver import SimRpcExecutor
 
@@ -53,7 +52,6 @@ __all__ = [
     "ThreadedDriver",
     "ProcessDriver",
     "NodeAgent",
-    "TcpDriver",
     "AioDriver",
     "SimRpcExecutor",
 ]

@@ -11,7 +11,7 @@ needs the same addresses in three portable forms:
   serves;
 - **endpoints**: ``host:port`` pairs naming where a node agent listens;
 - the :class:`ClusterMap`: the actor → endpoint registry a
-  :class:`~repro.net.tcp.TcpDriver` is built from, parseable from plain
+  :class:`~repro.net.aio.AioDriver` is built from, parseable from plain
   ``{"data/0": "10.0.0.5:7000"}`` dicts (the form
   :class:`~repro.core.config.DeploymentSpec.endpoints` carries) so the
   exact same deployment code drives loopback CI ports and real hosts.

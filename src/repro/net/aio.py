@@ -1,29 +1,35 @@
 """Asyncio client driver: one event loop multiplexing every TCP peer.
 
-The ninth certified configuration and the first driver built for *client
-scale* rather than actor placement: the blocking drivers dedicate two
-threads per connection (sender + receiver) and one caller thread per
-in-flight protocol, which tops out around the paper's 64 clients; this
-driver runs a single event-loop thread that multiplexes all peer sockets
-and any number of client coroutines — 10k concurrent client programs are
-ordinary (`benchmarks/test_many_clients.py` sweeps exactly that).
+The only socket client: :func:`repro.deploy.tcp.build_tcp` drives every
+node-agent cluster through it. It is built for *client scale*: the
+process driver dedicates two threads per connection (sender + receiver)
+and one caller thread per in-flight protocol, which tops out around the
+paper's 64 clients; this driver runs a single event-loop thread that
+multiplexes all peer sockets and any number of client coroutines — 10k
+concurrent client programs are ordinary
+(`benchmarks/test_many_clients.py` sweeps exactly that).
 
 Nothing about the *protocol* changes, which is the point of the sans-io
 layering:
 
 - the wire format is the untouched :mod:`repro.net.codec` pickle frames,
   parsed by the same :class:`~repro.net.codec.MessageDecoder` the
-  blocking drivers feed (here through its ``get_buffer``/
+  process driver feeds (here through its ``get_buffer``/
   ``buffer_updated`` pair, which exercises partial-read reassembly much
   harder — pinned by the codec fuzz test);
 - batches execute exactly the groups :func:`~repro.net.sansio.plan_wire_groups`
   plans — one frame per destination per batch — so wire-RPC counts are
   bit-equal to every other driver (pinned by the conformance suite);
-- failure semantics mirror :class:`~repro.net.tcp.TcpPeer`: a dead
-  connection drains every in-flight call as
+- a dead connection drains every in-flight call as
   :class:`~repro.errors.RemoteError`, later calls fail fast while the
-  peer is down, and a connector task redials with exponential backoff so
-  a restarted agent resumes service with no driver restart.
+  peer is down (so replica fail-over proceeds immediately), and a
+  connector task redials with exponential backoff from
+  ``BACKOFF_INITIAL`` capped at ``BACKOFF_MAX``, so a restarted agent on
+  the same endpoint resumes service with no driver restart and no
+  re-registration;
+- any actor kind is dialable: ``vm`` and ``pm`` are remote actors
+  exactly like ``data/N`` and ``meta/N``, which is what lets a
+  deployment run with *zero* actors in the client parent.
 
 Concurrency model: **everything about a peer is event-loop-confined**,
 so there are no locks on the hot path, and the loop pays as little as
@@ -56,19 +62,20 @@ Two client surfaces share the driver:
 - **sync facade**: :meth:`AioDriver.run` and :meth:`AioDriver.spawn`
   match the :class:`~repro.net.threaded.ThreadedDriver` surface exactly
   — protocol in, result out, ``ProtocolFuture``-shaped handle — which is
-  what lets the conformance suite replay its seeded workloads unchanged
-  and lets :func:`repro.deploy.tcp.build_tcp` swap this driver in with
-  ``client="aio"``.
+  what lets the conformance suite replay its seeded workloads unchanged.
 
 Observability parity: caller RTT histograms fold into
-:meth:`AioDriver.caller_rtt` (the PR 8 metrics scrape reads them like
-any driver's), and traced operations — either a thread-side
+:meth:`AioDriver.caller_rtt` (the metrics scrape reads them like any
+driver's), and traced operations — either a thread-side
 :func:`repro.obs.spans.trace_operation` around the sync facade or an
 async-side :func:`trace_async_operation` around awaited ops — export
-rpc spans with the same parenting as the blocking drivers. Because the
-wire activity happens off the calling thread, the sync facade closes the
-caller's coverage watermark over the whole driver-run window via
-:func:`repro.obs.spans.advance_op_mark`.
+rpc spans with the same parenting as the blocking drivers. Both also
+cover the client compute between batches with ``client`` spans, like
+:func:`repro.obs.spans.record_group_spans` on a thread: the traced
+operation's coverage watermark rides into :meth:`AioDriver.drive`
+(explicitly from the sync facade, through the task context from
+:func:`trace_async_operation`), every batch closes the gap before it,
+and the operation closes the last one.
 """
 
 from __future__ import annotations
@@ -102,7 +109,6 @@ from repro.net.sansio import (
     deliver,
     plan_wire_groups,
 )
-from repro.net.tcp import BACKOFF_INITIAL, BACKOFF_MAX
 from repro.net.threaded import _ServerThread, dest_kind
 from repro.net.wire import (
     CTL_SHUTDOWN,
@@ -117,6 +123,7 @@ from repro.obs.spans import (
     advance_op_mark,
     make_span,
     new_span_id,
+    record_client_span,
     record_rpc_span,
     span_now,
     to_span_ns,
@@ -125,6 +132,8 @@ from repro.obs.telemetry import telemetry_of
 from repro.obs.trace import current_op_span, current_trace, new_trace_id
 
 __all__ = [
+    "BACKOFF_INITIAL",
+    "BACKOFF_MAX",
     "AioDriver",
     "AioPeer",
     "AioProtocolFuture",
@@ -143,10 +152,16 @@ def __getattr__(name: str) -> Any:
         return AsyncBlobClient
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
-#: (trace_id, op_span_id) of the async operation open in this task's
-#: context — the event-loop analogue of the thread-local trace context
-#: (one coroutine chain = one logical operation).
-_task_trace: ContextVar[tuple[int, int] | None] = ContextVar(
+#: first dial retry delay; doubles per failure up to BACKOFF_MAX
+BACKOFF_INITIAL = 0.05
+BACKOFF_MAX = 2.0
+
+#: (trace_id, op_span_id, coverage watermark) of the async operation
+#: open in this task's context — the event-loop analogue of the
+#: thread-local trace context (one coroutine chain = one logical
+#: operation). The watermark is an absolute ``perf_counter_ns`` in a
+#: one-element list, advanced by every batch the operation drives.
+_task_trace: ContextVar[tuple[int, int, list[int]] | None] = ContextVar(
     "repro_aio_trace", default=None
 )
 
@@ -166,14 +181,18 @@ async def trace_async_operation(
     ``contextvars.ContextVar`` instead: every batch the surrounded
     coroutine drives through :meth:`AioDriver.drive` carries the trace id
     on its wire envelopes and records rpc spans parented to the op span,
-    exactly like a traced thread on the blocking drivers. On exit the
-    op's own span is recorded into the caller buffer (or handed to
-    ``collector``). Yields the trace id.
+    exactly like a traced thread on the blocking drivers. Client compute
+    is covered the same way too: the block seeds a coverage watermark,
+    every batch closes the compute gap before it with a ``client`` span,
+    and the exit records the last gap. On exit the op's own span is
+    recorded into the caller buffer (or handed to ``collector``). Yields
+    the trace id.
     """
     tid = trace_id if trace_id is not None else new_trace_id()
     sid = new_span_id()
-    token = _task_trace.set((tid, sid))
-    t0 = span_now()
+    t0_ns = time.perf_counter_ns()
+    mark = [t0_ns]
+    token = _task_trace.set((tid, sid, mark))
     failed = False
     try:
         yield tid
@@ -184,8 +203,19 @@ async def trace_async_operation(
         t1 = span_now()
         _task_trace.reset(token)
         record = collector or CALLER.record
+        last = to_span_ns(mark[0])
+        if t1 > last:
+            record(
+                make_span(
+                    tid, new_span_id(), sid, "client", "client", "client",
+                    last, t1, error=failed,
+                )
+            )
         record(
-            make_span(tid, sid, None, "op", name, "client", t0, t1, error=failed)
+            make_span(
+                tid, sid, None, "op", name, "client", to_span_ns(t0_ns), t1,
+                error=failed,
+            )
         )
 
 
@@ -827,17 +857,25 @@ class AioDriver:
         """Execute a protocol from any thread (the sync facade).
 
         The calling thread's open trace (if any) rides along explicitly —
-        the loop thread cannot read the caller's thread-locals — and the
-        caller's span-coverage watermark is advanced over the whole
-        driver-run window afterwards, so a thread-side
-        ``trace_operation`` block around this exports cleanly.
+        the loop thread cannot read the caller's thread-locals — and so
+        does a coverage watermark opened at the call: the drive covers
+        the hop onto the loop and its compute gaps, and the caller's
+        thread watermark then moves to the end of the last batch, so a
+        thread-side ``trace_operation`` block around this exports
+        cleanly.
         """
         trace = current_trace()
+        if trace is None:
+            return self.run_async(self.drive(proto))
         parent = current_op_span()
         t0 = time.perf_counter_ns()
-        value = self.run_async(self.drive(proto, trace=trace, parent=parent))
-        if trace is not None:
-            advance_op_mark(trace, parent, t0, time.perf_counter_ns())
+        mark = [t0]
+        value = self.run_async(
+            self.drive(proto, trace=trace, parent=parent, mark=mark)
+        )
+        # the compute after the last batch (and the hop back to this
+        # thread) is closed by the thread's next batch or op exit
+        advance_op_mark(trace, parent, t0, mark[0])
         return value
 
     def spawn(self, proto: Protocol[Any]) -> AioProtocolFuture:
@@ -852,6 +890,7 @@ class AioDriver:
         *,
         trace: Any = None,
         parent: int | None = None,
+        mark: list[int] | None = None,
     ) -> Any:
         """Execute a protocol as a coroutine on the driver's loop.
 
@@ -859,11 +898,18 @@ class AioDriver:
         pass the sync caller's trace context explicitly; async-native
         callers leave it None and the task-context trace installed by
         :func:`trace_async_operation` applies.
+
+        ``mark`` is the traced operation's coverage watermark, an
+        absolute ``perf_counter_ns`` in a one-element list (the sync
+        facade's, or the task context's): each batch records the
+        protocol compute since the watermark as a ``client`` span and
+        moves it to the batch's end, and the operation closes the last
+        gap. Untraced drives carry no watermark.
         """
         if trace is None:
             ctx = _task_trace.get()
             if ctx is not None:
-                trace, parent = ctx
+                trace, parent, mark = ctx
         try:
             op = next(proto)
             while True:
@@ -878,7 +924,7 @@ class AioDriver:
                         f"protocol yielded {op!r}, expected Batch or Compute"
                     )
                 try:
-                    results = await self._execute_batch(op, trace, parent)
+                    results = await self._execute_batch(op, trace, parent, mark)
                 except ReproError as exc:
                     op = proto.throw(exc)
                     continue
@@ -887,7 +933,11 @@ class AioDriver:
             return stop.value
 
     async def _execute_batch(
-        self, batch: Batch, trace: Any, parent: int | None
+        self,
+        batch: Batch,
+        trace: Any,
+        parent: int | None,
+        mark: list[int] | None,
     ) -> list[Any]:
         # Same framing as every other real driver: one wire RPC (= one
         # frame / queue submission) per destination, destinations resolved
@@ -945,9 +995,12 @@ class AioDriver:
         if span_ids is not None:
             # rpc spans with explicit parenting: the loop thread serves
             # many interleaved operations, so the thread-local watermark
-            # dance of record_group_spans cannot apply here (the sync
-            # facade closes its caller's watermark instead).
+            # of record_group_spans cannot apply here; the operation's
+            # own watermark covers the compute before this batch instead.
             start, end = to_span_ns(t_enq), to_span_ns(t_done)
+            if mark is not None:
+                record_client_span(trace, parent, to_span_ns(mark[0]), start)
+                mark[0] = t_done
             for sid, group in zip(span_ids, groups):
                 nbytes = sum(call.payload_bytes() for call in group.calls)
                 record_rpc_span(

@@ -6,13 +6,13 @@ endpoint and hosts any number of actors: the paper's layout colocates one
 data and one metadata provider per storage node and gives the version
 manager (``vm``) and provider manager (``pm``) dedicated machines — all
 four actor kinds are hosted by this same agent. Clients are
-:class:`~repro.net.tcp.TcpDriver` peers; the wire protocol is exactly the
+:class:`~repro.net.aio.AioDriver` peers; the wire protocol is exactly the
 worker-process protocol (:mod:`repro.net.codec` messages carrying
 ``("rpc", sub_calls)`` and ``stats``/``shutdown`` controls), prefixed by
 one handshake.
 
-Invariants this module guarantees (pinned by ``tests/test_tcp_transport.py``
-and ``tests/test_tcp_control_plane.py``):
+Invariants this module guarantees (pinned by ``tests/test_tcp_transport.py``,
+``tests/test_aio_transport.py`` and ``tests/test_tcp_control_plane.py``):
 
 - **hello/welcome binding**: the first message on every fresh connection
   is ``("hello", actor_name)`` naming the one actor the connection will

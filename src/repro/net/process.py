@@ -19,9 +19,9 @@ sub-call counts match the threaded/simulated/TCP transports bit for bit.
 
 The caller-side connection machinery — pending-request registry, sender
 thread per peer, header-only reply routing, drain-as-``RemoteError`` on
-peer death — is :class:`repro.net.wire.RpcChannel`, shared verbatim with
-the TCP driver; what is specific here is the *connection kind* (an
-inherited ``socketpair``) and the worker lifecycle:
+peer death — is :class:`repro.net.wire.RpcChannel`; what is specific
+here is the *connection kind* (an inherited ``socketpair``) and the
+worker lifecycle:
 
 - with the ``forkserver`` start method the package is preloaded into the
   fork server, so workers fork with warm modules instead of each paying
@@ -272,8 +272,8 @@ class _WorkerHandle:
         )
         self.process.start()
         child_sock.close()
-        # No on_down callback: only lifecycle methods, on the caller's
-        # thread, may poll the process (forkserver's Popen.poll reads the
+        # Only lifecycle methods, on the caller's thread, may poll the
+        # process (forkserver's Popen.poll reads the
         # status pipe; a concurrent poll from the channel's receiver
         # thread would split that read and lose the exit code as a bogus
         # 255).

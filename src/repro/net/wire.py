@@ -1,13 +1,14 @@
 """Shared wire machinery for the socket-backed drivers.
 
-The process driver (:mod:`repro.net.process`) and the TCP driver
-(:mod:`repro.net.tcp`) speak the same protocol — :mod:`repro.net.codec`
+The process driver (:mod:`repro.net.process`) and the asyncio TCP client
+(:mod:`repro.net.aio`) speak the same protocol — :mod:`repro.net.codec`
 messages carrying ``("rpc", sub_calls)`` requests and control messages —
 over different connection kinds (an inherited ``socketpair`` to a child
 process vs. a real TCP connection to a node agent). Everything that is
 *about the protocol* rather than the connection lives here:
 
-- :class:`RpcChannel` — the caller side of one live connection: pending
+- :class:`RpcChannel` — the caller side of one live worker connection
+  (the event-loop client has its own loop-confined twin): pending
   request registry, a dedicated sender thread (submits never block on a
   busy peer's socket), a receiver thread that routes replies by the
   12-byte message header alone (bodies are decoded later, on the caller
@@ -22,7 +23,7 @@ process vs. a real TCP connection to a node agent). Everything that is
   shared by worker processes and node agents.
 
 Invariants this module guarantees (pinned by the process- and
-tcp-transport suites):
+aio-transport suites):
 
 - **submits never block**: frames leave through an outbound queue drained
   by a dedicated sender thread per channel, so a caller is never stuck on
@@ -32,9 +33,9 @@ tcp-transport suites):
   the caller thread that asked for the data, concurrently across callers;
 - **drain-as-RemoteError, exactly once**: channel death (EOF, kill, send
   failure, codec corruption) completes every pending request with a
-  :class:`~repro.errors.RemoteError`, fails all future submissions fast,
-  and fires ``on_down`` exactly once, after the drain — no caller ever
-  blocks on a corpse, and no batch latch is ever released twice;
+  :class:`~repro.errors.RemoteError` exactly once and fails all future
+  submissions fast — no caller ever blocks on a corpse, and no batch
+  latch is ever released twice;
 - **a socket another thread may be blocked in ``recv`` on is severed with
   ``shutdown(SHUT_RDWR)`` before ``close()``** (:func:`force_close`) — a
   bare close neither wakes the reader nor sends FIN on Linux.
@@ -47,7 +48,7 @@ import queue
 import socket
 import threading
 import time
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 from repro.errors import RemoteError
 from repro.net.codec import (
@@ -159,9 +160,7 @@ class RpcChannel:
     unpickling) to whichever batch latch is waiting. Death (EOF, kill,
     send failure, codec corruption) drains every pending request with a
     ``RemoteError`` and fails all future submissions fast — no caller
-    ever blocks on a corpse. ``on_down`` fires exactly once, after the
-    drain; it must not block (the TCP peer uses it to kick its
-    reconnector, the process driver records a terminal reason).
+    ever blocks on a corpse.
     """
 
     def __init__(
@@ -169,13 +168,11 @@ class RpcChannel:
         sock: socket.socket,
         peer: str,
         *,
-        error_label: str = "PeerUnavailable",
-        on_down: Callable[[str], None] | None = None,
+        error_label: str,
     ) -> None:
         self.peer = peer
         self.sock = sock
         self._error_label = error_label
-        self._on_down = on_down
         self._pending_lock = threading.Lock()
         #: req_id -> ("rpc", slot, latch, gen) | ("ctl", box, event);
         #: slot/box receive the *encoded* reply body (or a RemoteError)
@@ -208,8 +205,6 @@ class RpcChannel:
         error = RemoteError(self._error_label, reason)
         for entry in drained:
             self._complete(entry, error)
-        if self._on_down is not None:
-            self._on_down(reason)
 
     @staticmethod
     def _complete(entry: tuple, body: Any) -> None:
@@ -233,10 +228,9 @@ class RpcChannel:
             except OSError:
                 chunk = b""
             if not chunk:
-                # No peer-process poll here: the owner's on_down callback
-                # runs on this thread and must stay non-blocking (see the
-                # process driver for why polling from here corrupts
-                # multiprocessing exit codes).
+                # No peer-process poll here: polling from this thread
+                # corrupts multiprocessing exit codes (see the process
+                # driver).
                 self.mark_down(f"peer {self.peer} connection lost")
                 return
             try:
@@ -369,17 +363,6 @@ class RemoteActorDriver(ThreadedDriver):
         if address in self._remotes:
             raise ValueError(f"address {address!r} already registered (remote)")
         super().register(address, actor)
-
-    def _register_remote(self, address: Address, handle: Any) -> None:
-        """Install a connected remote handle (caller holds no lock)."""
-        with self._lock:
-            if self._closed:
-                handle.stop()
-                raise RuntimeError("driver is closed")
-            if address in self._servers or address in self._remotes:
-                handle.stop()
-                raise ValueError(f"address {address!r} already registered")
-            self._remotes[address] = handle
 
     def addresses(self) -> list[Address]:
         with self._lock:

@@ -215,11 +215,20 @@ def advance_op_mark(
     mark = swap_op_mark(end)
     if mark is None:
         swap_op_mark(None)  # no op open: leave the watermark unset
-    elif start > mark:
+    else:
+        record_client_span(trace, parent, mark, start)
+
+
+def record_client_span(
+    trace: int, parent: int | None, start_ns: int, end_ns: int
+) -> None:
+    """Record one caller-side compute gap (span time) as a ``client``
+    span; an empty or inverted window records nothing."""
+    if end_ns > start_ns:
         CALLER.record(
             make_span(
                 trace, new_span_id(), parent, "client", "client", "client",
-                mark, start,
+                start_ns, end_ns,
             )
         )
 

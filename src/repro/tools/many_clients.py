@@ -1,11 +1,10 @@
 """``python -m repro.tools.many_clients`` — async tail-latency sweep.
 
-Launches a loopback TCP cluster with the asyncio client driver
-(``build_tcp(client="aio")``), runs N concurrent coroutine clients per
-tier — each one simulated open connection performing one page write
-plus reads of its own page — and prints the Read/Write p50/p95/p99
-table the benchmark family publishes (or the raw series with
-``--json``)::
+Launches a loopback TCP cluster (``build_tcp``, whose client tier is
+the asyncio driver), runs N concurrent coroutine clients per tier —
+each one simulated open connection performing one page write plus reads
+of its own page — and prints the Read/Write p50/p95/p99 table the
+benchmark family publishes (or the raw series with ``--json``)::
 
     # the CI fast tier
     python -m repro.tools.many_clients --clients 256

@@ -33,7 +33,7 @@ import time
 
 from repro.errors import RemoteError, ReproError
 from repro.net.address import ClusterMap
-from repro.net.tcp import TcpDriver
+from repro.net.aio import AioDriver
 from repro.obs.metrics import reconcile, render_metrics, scrape_driver
 
 
@@ -112,7 +112,7 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError, ReproError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    driver = TcpDriver(connect_timeout=args.timeout)
+    driver = AioDriver(connect_timeout=args.timeout)
     try:
         driver.register_map(cluster_map)
         try:

@@ -1,14 +1,18 @@
-"""Aio-transport pins: the tcp-transport failure-mode suite replayed
-through the event-loop driver, plus the concurrency pins only an event
-loop can express.
+"""Socket-client pins through the *awaited* surface of the asyncio
+driver, the only client of a node-agent cluster, plus the concurrency
+pins only an event loop can express.
 
-Failure-mode parity with the TCP transport is the point: every pin in
-``tests/test_tcp_transport.py`` that describes *transport semantics*
-(submission counts, typed errors over the wire, killed-peer fail-fast
-drain, replica fail-over, clean shutdown exit codes, reconnect to a
-restarted agent) has its mirror here, driven by the single-threaded
-asyncio driver instead of per-peer thread pairs. On top of that, the
-event loop adds what threads cannot afford: the 1k-coroutine stress run
+``tests/test_tcp_transport.py`` pins the transport semantics as a
+blocking caller sees them (the driver's sync facade); here the same
+semantics — submission counts, typed errors over the wire, killed-peer
+fail-fast drain, replica fail-over, clean shutdown exit codes, reconnect
+to a restarted agent — are pinned for coroutine programs that await
+:meth:`AioDriver.drive` and ``AsyncBlobClient`` ops on the loop, next to
+span coverage of traced operations on both surfaces. Failure-mode
+parity with the process transport is the point —
+``tests/test_process_transport.py`` pins the same semantics over
+socketpairs. On top of that, the event loop adds what threads cannot
+afford: the 1k-coroutine stress run
 — one agent SIGKILLed and restarted mid-run, every client finishing or
 failing *typed*, with asyncio debug mode and warning capture proving no
 task is orphaned and no coroutine left unawaited — and the pins of the
@@ -35,7 +39,8 @@ from repro.errors import ConfigError, RemoteError, ReproError, VersionNotPublish
 from repro.net.aio import AioDriver, trace_async_operation
 from repro.net.node import NodeAgent
 from repro.net.sansio import Batch, Call
-from repro.obs.spans import CALLER
+from repro.obs.export import coverage
+from repro.obs.spans import CALLER, trace_operation
 from repro.providers.data_provider import DataProvider
 from repro.util.sizes import KB, MB
 
@@ -47,9 +52,7 @@ JOIN_TIMEOUT = 60.0
 
 @pytest.fixture
 def adep():
-    dep = build_tcp(
-        DeploymentSpec(n_data=3, n_meta=2, cache_capacity=0), client="aio"
-    )
+    dep = build_tcp(DeploymentSpec(n_data=3, n_meta=2, cache_capacity=0))
     yield dep
     dep.close()
 
@@ -66,24 +69,38 @@ def _call_proto(address, method, args=()):
     return proto()
 
 
+def _acall(driver, address, method="data.stats"):
+    """One RPC awaited on the driver's loop (the coroutine surface)."""
+    return driver.run_async(
+        driver.drive(_call_proto(address, method)), timeout=JOIN_TIMEOUT
+    )
+
+
 # ---------------------------------------------------------------------------
-# functional sanity + submission counts (tcp-transport parity)
+# functional sanity + submission counts (process-transport parity)
 # ---------------------------------------------------------------------------
 
 
 def test_serial_workload_and_submission_counts(adep):
-    """One queue submission (= one TCP frame for remote actors) per
-    destination per batch — the exact bound the threaded/process/tcp
-    drivers pin, now through the event loop."""
-    client = adep.client("pin")
-    blob = client.alloc(TOTAL, PAGE)
-    states = {}
-    for step in range(6):
-        data = fill(step) * 2
-        offset = (step * 2 * PAGE) % TOTAL
-        res = client.write(blob, data, offset)
-        states[res.version] = data
-        assert client.read_bytes(blob, offset, len(data), version=res.version) == data
+    """Caller-side transport counters must equal agent-side wire-RPC
+    counts: one queue submission (= one TCP frame for remote actors) per
+    destination per batch — the exact bound the threaded and process
+    drivers pin."""
+    blob = adep.client("setup").alloc(TOTAL, PAGE)
+
+    async def main():
+        client = adep.async_client("pin")
+        states = {}
+        for step in range(6):
+            data = fill(step) * 2
+            offset = (step * 2 * PAGE) % TOTAL
+            res = await client.write(blob, data, offset)
+            states[res.version] = data
+            back = await client.read_bytes(blob, offset, len(data), version=res.version)
+            assert back == data
+        return states
+
+    states = adep.driver.run_async(main(), timeout=JOIN_TIMEOUT)
 
     stats = adep.driver.server_stats()
     served_rpcs = sum(r for r, _ in stats.values())
@@ -173,14 +190,14 @@ def test_unknown_address_raises_before_any_submission(adep):
 
     before = adep.transport_stats()["queue_submissions"]
     with pytest.raises(KeyError):
-        adep.driver.run(proto())
+        adep.driver.run_async(adep.driver.drive(proto()), timeout=JOIN_TIMEOUT)
     assert adep.transport_stats()["queue_submissions"] == before
 
 
 def test_semantic_errors_cross_the_async_path_typed(adep):
     """A VersionNotPublished raised by a remote actor must come back out
     of an *awaited* read with its precise type and payload — the async
-    mirror of the tcp-transport typed-error pin."""
+    mirror of the blocking-surface typed-error pin."""
     sync_client = adep.client("err")
     blob = sync_client.alloc(TOTAL, PAGE)
 
@@ -219,9 +236,34 @@ def test_traced_async_op_exports_parented_spans(adep):
         ops[0]["start_ns"] <= s["start_ns"] <= s["end_ns"] <= ops[0]["end_ns"]
         for s in rpcs
     )
-    # the PR 8 unified scrape picks up the aio driver's RTT histograms
+    # the unified scrape picks up the aio driver's RTT histograms
     doc = adep.metrics()
     assert "caller_rtt" in doc and doc["caller_rtt"], "caller RTTs missing"
+
+
+def test_traced_ops_cover_their_client_compute(adep):
+    """A traced op's spans must explain >= 95 % of its wall time (the
+    ``repro.tools.trace --check`` floor) on both client surfaces: the
+    compute between batches runs on the event loop, so the driver itself
+    must record it as ``client`` spans — rpc spans alone leave a third
+    of an 8 KB write uncovered."""
+    client = adep.client("cov")
+    blob = client.alloc(TOTAL, PAGE)
+    aclient = adep.async_client("acov")
+    client.write(blob, fill(1) * 2, 0)  # warm-up: first touch is not traced
+
+    async def traced_async_write():
+        async with trace_async_operation("async-write") as tid:
+            await aclient.write(blob, fill(3) * 2, 0)
+        return tid
+
+    CALLER.clear()
+    with trace_operation("sync-write") as sync_tid:
+        client.write(blob, fill(2) * 2, 0)
+    async_tid = adep.driver.run_async(traced_async_write(), timeout=JOIN_TIMEOUT)
+    cov = coverage(CALLER.snapshot())
+    for name, tid in (("sync", sync_tid), ("async", async_tid)):
+        assert cov[tid] >= 0.95, f"{name} traced write covers {cov[tid]:.1%}"
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +272,10 @@ def test_traced_async_op_exports_parented_spans(adep):
 
 
 def test_clean_shutdown_exits_all_agents():
-    dep = build_tcp(DeploymentSpec(n_data=2, n_meta=2), client="aio")
-    client = dep.client("s")
-    blob = client.alloc(TOTAL, PAGE)
-    client.write(blob, fill(1), 0)
+    dep = build_tcp(DeploymentSpec(n_data=2, n_meta=2))
+    blob = dep.client("s").alloc(TOTAL, PAGE)
+    client = dep.async_client("as")
+    dep.driver.run_async(client.write(blob, fill(1), 0), timeout=JOIN_TIMEOUT)
     dep.close()
     codes = dep.agent_exitcodes()
     assert len(codes) == 2  # colocated: agent i hosts data/i + meta/i
@@ -252,17 +294,9 @@ def test_driver_rejects_registration_after_close():
 
 
 def test_build_tcp_rejects_unknown_client():
-    with pytest.raises(ConfigError):
-        build_tcp(DeploymentSpec(n_data=1, n_meta=1), client="curio")
-
-
-def test_async_client_requires_aio_driver():
-    dep = build_tcp(DeploymentSpec(n_data=1, n_meta=1))
-    try:
+    for name in ("curio", "threaded"):
         with pytest.raises(ConfigError):
-            dep.async_client()
-    finally:
-        dep.close()
+            build_tcp(DeploymentSpec(n_data=1, n_meta=1), client=name)
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +315,14 @@ def test_killed_agent_raises_remote_error(adep):
     assert len(holders) == 1
     victim = holders[0]
     adep.kill_agent(adep.agent_index_for(("data", victim)))
+    aclient = adep.async_client("akill")
     with pytest.raises(RemoteError) as exc_info:
-        client.read_bytes(blob, 0, PAGE, version=res.version)
+        adep.driver.run_async(
+            aclient.read_bytes(blob, 0, PAGE, version=res.version),
+            timeout=JOIN_TIMEOUT,
+        )
     assert "PeerUnavailable" in str(exc_info.value)
-    # vm is alive in-parent; the surviving metadata replicas still serve
+    # vm is alive in-parent
     assert adep.vm.get_latest(blob) == 1
 
 
@@ -293,8 +331,7 @@ def test_killed_agent_fails_over_to_replica():
     replication=2 an awaited read must survive one agent's SIGKILL via
     the ``allow_error`` retry — no thread pool involved."""
     dep = build_tcp(
-        DeploymentSpec(n_data=3, n_meta=2, replication=2, cache_capacity=0),
-        client="aio",
+        DeploymentSpec(n_data=3, n_meta=2, replication=2, cache_capacity=0)
     )
     try:
         client = dep.client("failover")
@@ -319,9 +356,7 @@ def test_killed_agent_fails_over_to_replica():
 def test_future_calls_fail_fast_after_agent_death():
     """Calls against a dead peer must fail immediately with RemoteError —
     never block behind a redial attempt (fail-over latency)."""
-    dep = build_tcp(
-        DeploymentSpec(n_data=2, n_meta=2, cache_capacity=0), client="aio"
-    )
+    dep = build_tcp(DeploymentSpec(n_data=2, n_meta=2, cache_capacity=0))
     try:
         client = dep.client("inflight")
         blob = client.alloc(TOTAL, PAGE)
@@ -335,7 +370,7 @@ def test_future_calls_fail_fast_after_agent_death():
         for _ in range(3):
             start = time.monotonic()
             with pytest.raises(RemoteError):
-                dep.driver.call(address, "data.stats")
+                _acall(dep.driver, address)
             assert time.monotonic() - start < 2.0, "dead-peer call did not fail fast"
     finally:
         dep.close()
@@ -366,7 +401,9 @@ def test_in_flight_calls_drain_when_connection_dies():
     try:
         driver.register_remote(("data", 0), agent.endpoint)
         driver.wait_connected()
-        fut = driver.spawn(_call_proto(("data", 0), "stall"))
+        fut = asyncio.run_coroutine_threadsafe(
+            driver.drive(_call_proto(("data", 0), "stall")), driver.loop
+        )
         assert staller.entered.wait(JOIN_TIMEOUT), "call never reached the actor"
         agent.drop_connections()  # sever mid-call: reply can never arrive
         with pytest.raises(RemoteError):
@@ -449,14 +486,14 @@ def test_peer_reconnects_after_agent_restart():
     try:
         driver.register_remote(("data", 0), agent.endpoint)
         driver.wait_connected()
-        assert driver.call(("data", 0), "data.stats")["pages"] == 0
+        assert _acall(driver, ("data", 0))["pages"] == 0
 
         agent.close()  # the "host went down" event: listener + conns die
         deadline = time.monotonic() + 10
         while driver.peer(("data", 0)).connected and time.monotonic() < deadline:
             time.sleep(0.01)
         with pytest.raises(RemoteError):
-            driver.call(("data", 0), "data.stats")
+            _acall(driver, ("data", 0))
         assert driver.peer_status()[("data", 0)] != "connected"
 
         # restart: a fresh agent, same actor name, same endpoint
@@ -466,7 +503,7 @@ def test_peer_reconnects_after_agent_restart():
             assert driver.peer(("data", 0)).wait_connected(timeout=15), (
                 "connector did not redial the revived agent"
             )
-            assert driver.call(("data", 0), "data.stats")["pages"] == 0
+            assert _acall(driver, ("data", 0))["pages"] == 0
             assert driver.peer_status()[("data", 0)] == "connected"
         finally:
             revived.close()
@@ -485,7 +522,7 @@ def test_handshake_reject_for_unknown_actor():
         driver.register_remote(("data", 7), agent.endpoint)
         assert not driver.peer(("data", 7)).wait_connected(timeout=0.6)
         with pytest.raises(RemoteError) as exc_info:
-            driver.call(("data", 7), "data.stats")
+            _acall(driver, ("data", 7))
         assert "PeerUnavailable" in str(exc_info.value)
     finally:
         driver.close()
@@ -511,7 +548,7 @@ def test_thousand_clients_survive_agent_restart():
     spec = DeploymentSpec(
         n_data=STRESS_AGENTS, n_meta=2, cache_capacity=0, colocate=False
     )
-    dep = build_tcp(spec, client="aio")
+    dep = build_tcp(spec)
     loop_trouble: list[str] = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

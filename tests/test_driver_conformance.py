@@ -6,22 +6,21 @@ interchangeable: the same sans-io WRITE/READ protocols must produce the
 same blobs whether they are dispatched directly (inproc), over real
 per-actor service threads (threaded), across per-actor OS processes
 through the pickle-frame wire codec (process), over real TCP connections
-to node-agent cluster processes (tcp — with the vm/pm in the parent, and
+to node-agent cluster processes from the single-threaded asyncio client
+multiplexing every agent socket (tcp — with the vm/pm in the parent, and
 again fully remote with the control plane on its own agents and zero
-in-parent actors: the sixth certified configuration), from a
-single-threaded asyncio event loop multiplexing every agent socket (aio
-— the ninth certified configuration, the high-concurrency client tier),
-or on the discrete-event cluster model (simulated). This suite replays
-identical seeded workloads — built once as driver-agnostic composite
-protocol generators — on all seven deployments and asserts:
+in-parent actors: the sixth certified configuration), or on the
+discrete-event cluster model (simulated). This suite replays identical
+seeded workloads — built once as driver-agnostic composite protocol
+generators — on all six deployments and asserts:
 
 - **serial phase** (deterministic, single client): bit-identical page
   contents *and placement*, bit-identical metadata trees (every node
   record), identical version chains (`vm.patches`), and exact
   read-your-writes / snapshot equality against a reference replay model;
 - **concurrent phase** (N clients, disjoint ranges; real threads on the
-  threaded driver, simulated processes on the simulator, a seeded
-  linearization on inproc): identical page dictionaries (page key ->
+  threaded driver, coroutines on the TCP client's event loop, simulated
+  processes on the simulator, a seeded linearization on inproc): identical page dictionaries (page key ->
   bytes, placement-independent), identical leaf page references,
   identical final blob bytes, per-driver prefix-replay serializability
   of every published snapshot, and monotonic read-your-writes inside
@@ -137,27 +136,16 @@ class TcpHarness(ThreadedHarness):
     """Same driver surface again, but every provider actor lives in a
     node-agent OS process behind a loopback TCP endpoint — the cluster
     deployment, reached through connection handshakes and real sockets
-    (vm/pm on parent service threads, the historical tcp layout)."""
+    (vm/pm on parent service threads). The caller side is the
+    single-threaded event-loop driver (:mod:`repro.net.aio`): serial
+    protocols go through its sync facade, concurrent programs run as
+    coroutines multiplexed on the loop (``spawn``), so this certifies
+    both surfaces against the other drivers' fingerprints bit for bit."""
 
     name = "tcp"
 
     def __init__(self) -> None:
         self.dep = build_tcp(SPEC)
-
-
-class AioHarness(ThreadedHarness):
-    """The asyncio client tier — the ninth certified configuration: the
-    same node-agent TCP cluster as ``tcp``, but the caller side is the
-    single-threaded event-loop driver (:mod:`repro.net.aio`) instead of
-    per-peer thread pairs. Serial protocols go through the sync facade,
-    concurrent programs run as coroutines multiplexed on the loop
-    (``spawn``), so this certifies both surfaces against the blocking
-    drivers' fingerprints bit for bit."""
-
-    name = "aio"
-
-    def __init__(self) -> None:
-        self.dep = build_tcp(SPEC, client="aio")
 
 
 class TcpRemoteHarness(ThreadedHarness):
@@ -219,14 +207,13 @@ def all_harnesses():
         ThreadedHarness,
         ProcessHarness,
         TcpHarness,
-        AioHarness,
         TcpRemoteHarness,
         SimulatedHarness,
     ):
         yield cls()
 
 
-OTHER_DRIVERS = ("threaded", "process", "tcp", "aio", "tcp-remote", "simulated")
+OTHER_DRIVERS = ("threaded", "process", "tcp", "tcp-remote", "simulated")
 
 
 # ---------------------------------------------------------------------------
@@ -552,40 +539,36 @@ def test_concurrent_workload_equivalent_across_drivers():
 
 
 def test_transport_batching_equivalent_sub_calls():
-    """The threaded, process, both TCP, the aio and the simulated drivers
-    must issue identical wire-RPC and sub-call counts for an identical
-    serial workload — all six execute exactly the groups
-    `plan_wire_groups` plans (shared framing); for the process and TCP
-    drivers the counts are reported by the worker processes / node agents
-    themselves over the control channel. For the fully-remote
-    configuration this also proves the vm/pm *workload* traffic is
-    identical whether they are parent service threads or agents on other
-    machines (setup registration subtracted via the harness baseline);
-    for the aio configuration it proves the event-loop transport frames
-    nothing differently from the per-peer thread pairs."""
+    """The threaded, process, both TCP and the simulated drivers must
+    issue identical wire-RPC and sub-call counts for an identical serial
+    workload — all five execute exactly the groups `plan_wire_groups`
+    plans (shared framing); for the process and TCP drivers the counts
+    are reported by the worker processes / node agents themselves over
+    the control channel. For the fully-remote configuration this also
+    proves the vm/pm *workload* traffic is identical whether they are
+    parent service threads or agents on other machines (setup
+    registration subtracted via the harness baseline); for the TCP
+    configurations it proves the event-loop client frames nothing
+    differently from the threaded driver's service queues."""
     harnesses: list = []
     try:
         # construct inside the try (one by one) so a failing constructor
         # cannot leak the deployments already built
         for cls in (
-            ThreadedHarness, ProcessHarness, TcpHarness, AioHarness,
+            ThreadedHarness, ProcessHarness, TcpHarness,
             TcpRemoteHarness, SimulatedHarness,
         ):
             harnesses.append(cls())
-        threaded, process, tcp, aio, tcp_remote, simulated = harnesses
+        threaded, process, tcp, tcp_remote, simulated = harnesses
         t = _run_serial(threaded)
         p = _run_serial(process)
         n = _run_serial(tcp)
-        a = _run_serial(aio)
         r = _run_serial(tcp_remote)
         s = _run_serial(simulated)
-        assert (
-            t["pages"] == s["pages"] == p["pages"] == n["pages"]
-            == a["pages"] == r["pages"]
-        )
-        t_stats, p_stats, n_stats, a_stats, r_stats = (
+        assert t["pages"] == s["pages"] == p["pages"] == n["pages"] == r["pages"]
+        t_stats, p_stats, n_stats, r_stats = (
             t["server_stats"], p["server_stats"], n["server_stats"],
-            a["server_stats"], r["server_stats"],
+            r["server_stats"],
         )
         t_rpcs = sum(rr for rr, _ in t_stats.values())
         t_calls = sum(c for _, c in t_stats.values())
@@ -594,9 +577,6 @@ def test_transport_batching_equivalent_sub_calls():
         )
         assert t_stats == n_stats, (
             "TCP and threaded drivers framed the same workload differently"
-        )
-        assert t_stats == a_stats, (
-            "aio and threaded drivers framed the same workload differently"
         )
         assert t_stats == r_stats, (
             "fully-remote TCP (vm/pm on agents) framed the same workload "

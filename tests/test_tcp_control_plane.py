@@ -47,7 +47,7 @@ from repro.errors import (
 from repro.net.address import ClusterMap
 from repro.net.codec import MessageDecoder, decode_body, encode_message
 from repro.net.node import NodeAgent, build_actor
-from repro.net.tcp import TcpDriver
+from repro.net.aio import AioDriver
 from repro.util.sizes import KB, MB
 
 TOTAL = 1 * MB
@@ -148,7 +148,7 @@ def test_data_agent_registers_with_pm_at_start_and_after_restart():
     deployment-builder involvement."""
     pm_agent = NodeAgent({"pm": build_actor("pm")[1]})
     pm_agent.start()
-    driver = TcpDriver()
+    driver = AioDriver()
     first = NodeAgent(
         {("data", 0): build_actor("data/0")[1]},
         pm_endpoint=pm_agent.endpoint,

@@ -1,13 +1,15 @@
-"""TCP-transport pins: framing counts, clean shutdown, crash fail-over,
-reconnect-with-backoff, and the addressing/handshake layer.
+"""TCP-deployment pins through the *blocking* client surface: the
+addressing layer, the loopback plan, actor specs, the agent-side
+handshake, connected mode, the supernovae application end to end, and
+the transport semantics as a blocking caller sees them — submission
+counts, typed errors, killed-peer fail-fast drain, replica fail-over,
+clean shutdown exit codes, reconnect to a restarted agent.
 
-Failure-mode parity with the process transport is the point: every pin in
-``tests/test_process_transport.py`` that describes *transport semantics*
-(submission counts, typed errors, killed-peer drain, replica fail-over,
-clean shutdown exit codes) has its mirror here, driven by real TCP
-connections to node-agent OS processes instead of socketpairs to spawned
-workers. On top of that, TCP adds what pipes cannot: a peer that comes
-*back* — pinned by the agent-restart reconnect test.
+Every call here enters the event-loop driver through its sync facade
+(``run``/``call``/``spawn`` from a plain thread), the surface blocking
+programs, setup scripts and operator tools use. The same semantics
+through the *awaited* surface, and the pins only an event loop can
+express, live in ``tests/test_aio_transport.py``.
 
 Everything here is wall-clock bounded: every blocking wait carries a
 timeout, and the module-level watchdog (conftest.py, enabled via
@@ -27,9 +29,9 @@ from repro.core.config import DeploymentSpec
 from repro.deploy.tcp import build_tcp, plan_loopback_nodes
 from repro.errors import ConfigError, RemoteError, VersionNotPublished
 from repro.net.address import ClusterMap, Endpoint, format_actor, parse_actor, parse_endpoint
+from repro.net.aio import AioDriver
 from repro.net.node import NodeAgent, build_actor
 from repro.net.sansio import Batch, Call
-from repro.net.tcp import TcpDriver
 from repro.providers.data_provider import DataProvider
 from repro.util.sizes import KB, MB
 
@@ -164,28 +166,40 @@ def test_serial_workload_and_submission_counts(tdep):
 
 
 def test_concurrent_clients_disjoint_ranges(tdep):
-    """Real parallel client threads against node-agent processes."""
+    """Real parallel client threads, each calling the blocking client
+    (the driver's sync facade) against node-agent processes."""
     client = tdep.client("setup")
     blob = client.alloc(TOTAL, PAGE)
     n_clients, writes_each = 3, 4
     span = TOTAL // n_clients // PAGE * PAGE
+    done: dict[int, BaseException | None] = {}
 
-    def program(c: int):
-        own = tdep.client(f"c{c}")
-        lo = c * span
-        for k in range(writes_each):
-            data = fill(c * 16 + k) * 2
-            offset = lo + (k * 2 * PAGE) % span
-            res = own.write(blob, data, offset)
-            if res.published:
-                got = own.read_bytes(blob, offset, len(data), version=res.version)
-                assert got == data
-        return c
+    def program(c: int) -> None:
+        try:
+            own = tdep.client(f"c{c}")
+            lo = c * span
+            for k in range(writes_each):
+                data = fill(c * 16 + k) * 2
+                offset = lo + (k * 2 * PAGE) % span
+                res = own.write(blob, data, offset)
+                if res.published:
+                    got = own.read_bytes(blob, offset, len(data), version=res.version)
+                    assert got == data
+            done[c] = None
+        except BaseException as exc:  # surfaced by the main thread
+            done[c] = exc
 
-    futures = [
-        tdep.driver.spawn(_as_proto(program, c)) for c in range(n_clients)
+    threads = [
+        threading.Thread(target=program, args=(c,), name=f"client-{c}")
+        for c in range(n_clients)
     ]
-    assert sorted(f.result(timeout=JOIN_TIMEOUT) for f in futures) == [0, 1, 2]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(JOIN_TIMEOUT)
+    stalled = [t.name for t in threads if t.is_alive()]
+    assert not stalled, f"client threads stalled: {stalled}"
+    assert done == {c: None for c in range(n_clients)}, done
     assert tdep.vm.get_latest(blob) == n_clients * writes_each
 
     for c in range(n_clients):
@@ -195,16 +209,6 @@ def test_concurrent_clients_disjoint_ranges(tdep):
             offset = (k * 2 * PAGE) % span
             state[offset : offset + len(data)] = data
         assert client.read_bytes(blob, c * span, span) == bytes(state)
-
-
-def _as_proto(fn, *args):
-    """Wrap a blocking-client program as a spawnable generator."""
-
-    def proto():
-        yield Batch([])  # enter the driver loop once, then run to completion
-        return fn(*args)
-
-    return proto()
 
 
 def test_unknown_address_raises_before_any_submission(tdep):
@@ -244,10 +248,12 @@ def test_clean_shutdown_exits_all_agents():
 
 
 def test_driver_rejects_registration_after_close():
-    driver = TcpDriver()
-    driver.close()
+    """A closed deployment's driver refuses new peers instead of dialing
+    them from a stopped loop."""
+    dep = build_tcp(DeploymentSpec(n_data=1, n_meta=1))
+    dep.close()
     with pytest.raises(RuntimeError):
-        driver.register_remote(("data", 0), "127.0.0.1:1")
+        dep.driver.register_remote(("data", 5), "127.0.0.1:1")
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +336,9 @@ def test_future_calls_fail_fast_after_agent_death():
 
 def test_in_flight_calls_drain_when_connection_dies():
     """A call already on the wire when the connection dies mid-batch must
-    complete with RemoteError, not hang the batch latch. Driven
-    deterministically with an in-process agent whose actor blocks until
-    the connection is severed under it."""
+    complete with RemoteError, not hang the spawned protocol's future.
+    Driven deterministically with an in-process agent whose actor blocks
+    until the connection is severed under it."""
 
     class Staller:
         def __init__(self):
@@ -349,7 +355,7 @@ def test_in_flight_calls_drain_when_connection_dies():
     staller = Staller()
     agent = NodeAgent({("data", 0): staller})
     agent.start()
-    driver = TcpDriver()
+    driver = AioDriver()
     try:
         driver.register_remote(("data", 0), agent.endpoint)
         driver.wait_connected()
@@ -385,7 +391,7 @@ def test_peer_reconnects_after_agent_restart():
     agent = NodeAgent({("data", 0): DataProvider(0)})
     agent.start()
     port = agent.endpoint.port
-    driver = TcpDriver()
+    driver = AioDriver()
     try:
         driver.register_remote(("data", 0), agent.endpoint)
         driver.wait_connected()
@@ -413,6 +419,11 @@ def test_peer_reconnects_after_agent_restart():
     finally:
         driver.close()
         agent.close()
+
+
+# ---------------------------------------------------------------------------
+# the agent-side handshake and connected mode
+# ---------------------------------------------------------------------------
 
 
 def test_agent_serves_rpcs_pipelined_behind_hello():
@@ -462,7 +473,7 @@ def test_handshake_reject_for_unknown_actor():
     peer stays down (fail-fast) instead of looping a broken connection."""
     agent = NodeAgent({("data", 0): DataProvider(0)})
     agent.start()
-    driver = TcpDriver()
+    driver = AioDriver()
     try:
         driver.register_remote(("data", 7), agent.endpoint)
         assert not driver.peer(("data", 7)).wait_connected(timeout=0.6)
